@@ -47,7 +47,12 @@ from repro.cluster.router import (
     ShardRouter,
 )
 from repro.cluster.shard import run_sharded, warm_caches
-from repro.cluster.simulator import ClusterSimulator, NodeDrain, NodeFailure
+from repro.cluster.simulator import (
+    ClusterSimulator,
+    InvalidArrivalError,
+    NodeDrain,
+    NodeFailure,
+)
 from repro.cluster.tiering import (
     ClassStats,
     TieredRouter,
@@ -70,6 +75,7 @@ __all__ = [
     "FairnessReport",
     "FluidReport",
     "FluidScenario",
+    "InvalidArrivalError",
     "StationReport",
     "JoinShortestQueueRouter",
     "LeastOutstandingTokensRouter",

@@ -160,17 +160,19 @@ def _resolve_flows(mix, spec, slo,
 
 
 class _Station:
-    """One tier of interchangeable replicas, with memoized demands."""
+    """One tier of interchangeable replicas, with memoized demands.
 
-    def __init__(self, nodes: Sequence[ReplicaNode]):
-        node = nodes[0]
+    *node* is one probe replica of the tier; *prices* hold every
+    replica's listing price, in fleet order.
+    """
+
+    def __init__(self, node: ReplicaNode, prices: Sequence[float]):
         self.tier: Tier = node.tier
-        self.count = len(nodes)
+        self.count = len(prices)
         self.table = node.cost_table
         self.max_batch = node.max_batch
         self.param_count = node.model.param_count()
-        self.price_usd = sum(price_rate(n.platform.name, n.price_usd)
-                             for n in nodes)
+        self.price_usd = sum(prices)
 
     def prefill_s(self, flow: _Flow) -> float:
         # Includes backend comm time (TP allreduce, hybrid GPU leg):
@@ -197,11 +199,23 @@ class _Station:
 
 
 def _group_stations(config: ClusterConfig) -> List[_Station]:
-    fleet = config.build_fleet()
-    by_tier: Dict[Tier, List[ReplicaNode]] = {}
-    for node in fleet:
-        by_tier.setdefault(node.tier, []).append(node)
-    return [_Station(nodes) for nodes in by_tier.values()]
+    """One station per tier, in order of the tier's first replica.
+
+    Builds one probe replica per :class:`ReplicaSpec` (which runs its
+    memory-fit check) rather than the whole fleet: replicas of one spec
+    share tier, cost table and batch limit, so only the first replica
+    of each tier is read, plus every replica's price.
+    """
+    probes: Dict[Tier, ReplicaNode] = {}
+    prices: Dict[Tier, List[float]] = {}
+    for spec in config.replicas:
+        node = ReplicaNode(spec.base_name, spec.platform, spec.model,
+                           spec.max_batch, spec.config, spec.backend)
+        probes.setdefault(node.tier, node)
+        price = price_rate(spec.platform.name, spec.price_usd)
+        prices.setdefault(node.tier, []).extend([price] * spec.count)
+    return [_Station(probes[tier], tier_prices)
+            for tier, tier_prices in prices.items()]
 
 
 # -- the per-station chain -------------------------------------------------
@@ -269,10 +283,14 @@ class _StationSolution:
         weights = [(flow, r / rate) for flow, r in self.flows]
 
         prefill = sum(w * station.prefill_s(flow) for flow, w in weights)
+        # demands[i][b] = flow i's D(b), b >= 1, read off the table once.
+        demands = [[0.0] + [station.decode_s(flow, b)
+                            for b in range(1, big_b + 1)]
+                   for flow, _ in weights]
         decode = [0.0] * (big_b + 1)  # decode[b] = mixture D(b), b >= 1
         for b in range(1, big_b + 1):
-            decode[b] = sum(w * station.decode_s(flow, b)
-                            for flow, w in weights)
+            decode[b] = sum(w * demand[b]
+                            for (_, w), demand in zip(weights, demands))
         steps = sum(w * flow.mean_steps for flow, w in weights)
         mean_out = sum(w * flow.mean_output for flow, w in weights)
 
@@ -394,7 +412,7 @@ class _StationSolution:
             + (served / k * prefill) * prefill / 2.0
 
         self.classes = []
-        for flow, rate_c in self.flows:
+        for (flow, rate_c), demand in zip(self.flows, demands):
             t0 = boundary + station.prefill_s(flow)
             if overloaded:
                 self.classes.append(_ClassAtStation(
@@ -409,14 +427,13 @@ class _StationSolution:
                     lo = int(math.floor(q))
                     hi = min(lo + 1, big_b)
                     frac = q - lo
-                    d_lo = station.decode_s(flow, lo)
-                    d_hi = station.decode_s(flow, hi)
-                    return (d_lo + (d_hi - d_lo) * frac) / flow_steps
-                tpot_c = sum(w * class_gap(q) for w, q in token_states) \
-                    / token_norm * inflation
-                tpot_ok = sum(w for w, q in token_states
-                              if class_gap(q) * inflation
-                              <= flow.slo.tpot_s) / token_norm
+                    d_lo = demand[lo]
+                    return (d_lo + (demand[hi] - d_lo) * frac) / flow_steps
+                gaps = [(w, class_gap(q)) for w, q in token_states]
+                tpot_c = sum(w * g for w, g in gaps) / token_norm * inflation
+                tpot_ok = sum(w for w, g in gaps
+                              if g * inflation <= flow.slo.tpot_s) \
+                    / token_norm
             else:
                 tpot_c = 0.0
                 tpot_ok = 1.0
@@ -701,8 +718,12 @@ def _mixture_quantile(components: List[Tuple[float, _ClassAtStation]],
     for _ in range(80):
         mid = (lo + hi) / 2.0
         if cdf(mid) >= q:
+            if hi == mid:
+                break  # (lo, hi) is a fixed point: every later pass too
             hi = mid
         else:
+            if lo == mid:
+                break
             lo = mid
     return hi
 

@@ -38,6 +38,7 @@ parity suite and the cluster benchmark compare the fast path against.
 
 import dataclasses
 import heapq
+import math
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.cluster.autoscaler import Autoscaler
@@ -67,6 +68,35 @@ _RANK_ARRIVAL = 3
 #: Progress callback signature: (events dispatched, simulated time,
 #: requests completed so far).
 ProgressFn = Callable[[int, float, int], None]
+
+
+class InvalidArrivalError(ValueError):
+    """An arrival the simulator cannot serve.
+
+    Raised by :meth:`ClusterSimulator.run` for an arrival time that is
+    not finite, negative, or earlier than the arrival before it, and
+    for an ``input_len`` or ``output_len`` below 1.
+    """
+
+
+def _check_arrival(request, last_s: float) -> float:
+    """Validate one pulled arrival (duck-typed); returns its time."""
+    time_s = request.arrival_s
+    # Written so NaN fails every comparison into the error branch.
+    if not (time_s >= 0.0 and math.isfinite(time_s)):
+        raise InvalidArrivalError(
+            f"request {request.request_id}: arrival_s must be finite and "
+            f">= 0, got {time_s!r}")
+    if time_s < last_s:
+        raise InvalidArrivalError(
+            "streaming arrivals must be time-ordered: "
+            f"{time_s} after {last_s}")
+    if not (request.input_len >= 1 and request.output_len >= 1):
+        raise InvalidArrivalError(
+            f"request {request.request_id}: input_len and output_len must "
+            f"be >= 1, got {request.input_len!r} and "
+            f"{request.output_len!r}")
+    return time_s
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,7 +188,10 @@ class ClusterSimulator:
         """Simulate the fleet over *arrivals* and aggregate the outcome.
 
         *arrivals* may be any iterable; an iterator is consumed lazily
-        (one unrouted arrival buffered) and must be time-ordered. An
+        (one unrouted arrival buffered) and must be time-ordered. Each
+        arrival is checked as it is pulled: a non-finite, negative or
+        out-of-order ``arrival_s``, or an ``input_len``/``output_len``
+        below 1, raises :class:`InvalidArrivalError`. An
         optional *progress* callback fires every *progress_every*
         dispatched events with ``(events, simulated_time_s, completed)``.
 
@@ -188,10 +221,11 @@ class ClusterSimulator:
 
         for event in self.scheduled:
             push(event.time_s, _RANK_SCHEDULED, event)
+        last_arrival_s = 0.0
         if first is not None:
-            push(first.arrival_s, _RANK_ARRIVAL, first)
+            last_arrival_s = _check_arrival(first, last_arrival_s)
+            push(last_arrival_s, _RANK_ARRIVAL, first)
         arrival_pending = first is not None
-        last_arrival_s = first.arrival_s if first is not None else 0.0
         arrived = 1 if first is not None else 0
         provisioning = 0
         if self.autoscaler is not None:
@@ -286,13 +320,9 @@ class ClusterSimulator:
                 if nxt is None:
                     arrival_pending = False
                 else:
-                    if nxt.arrival_s < last_arrival_s:
-                        raise ValueError(
-                            "streaming arrivals must be time-ordered: "
-                            f"{nxt.arrival_s} after {last_arrival_s}")
-                    last_arrival_s = nxt.arrival_s
+                    last_arrival_s = _check_arrival(nxt, last_arrival_s)
                     arrived += 1
-                    push(nxt.arrival_s, _RANK_ARRIVAL, nxt)
+                    push(last_arrival_s, _RANK_ARRIVAL, nxt)
 
             events_dispatched += 1
             depth = self._fleet_queue_len()

@@ -36,7 +36,7 @@ tables. See ``docs/backends.md``.
 import dataclasses
 import difflib
 import functools
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.hardware.datatypes import DType, parse_dtype
 from repro.hardware.interconnect import Interconnect, upi_link
@@ -116,10 +116,12 @@ def shard_op(op: Op, degree: int) -> Op:
     """Shard one operator's weights/compute across a TP group of *degree*.
 
     Weight GEMMs split along the output dimension: each shard does 1/S
-    of the FLOPs and streams 1/S of the weights. Attention shards by
-    heads. Activation traffic for the sharded portion scales likewise;
-    the replicated hidden-state reads are a second-order term folded in
-    with the same factor.
+    of the FLOPs and streams 1/S of the weights. Every GEMM's ``n`` is
+    floor-divided by S (at least 1) — for the attention score GEMM
+    ``attn_qk`` that is the KV length, not the head count, so its
+    per-shard shape is a staircase in ``kv_len``. All byte and extra-FLOP
+    traffic scales by 1/S; the replicated hidden-state reads are a
+    second-order term folded in with the same factor.
     """
     return dataclasses.replace(
         op,
@@ -223,6 +225,20 @@ class ExecutionBackend:
                    kv_len: int) -> Tuple[Op, ...]:
         """Memoized operator list for one fused decode iteration."""
         return _cached_decode_ops(self, model, batch_size, kv_len)
+
+    def decode_op_source(self) -> Optional[
+            Tuple["ExecutionBackend", Callable[[Op], Op]]]:
+        """The graph this backend's decode graph maps op for op, if any.
+
+        ``(source, rewrite)`` means ``decode_ops(..., kv)[i] ==
+        rewrite(source.decode_ops(..., kv)[i])`` at every ``kv``. The
+        executor's closed-form decode analysis uses it to rebuild one op
+        at many KV lengths from the source graph when the op itself is
+        not affine in ``kv_len``, instead of building the whole step
+        graph at each. ``None`` (the default): the graph is built
+        directly.
+        """
+        return None
 
     def _build_prefill_ops(self, model: ModelConfig, batch_size: int,
                            input_len: int) -> Tuple[Op, ...]:
@@ -440,6 +456,10 @@ class TensorParallelBackend(ExecutionBackend):
         inner = self._resolved_inner()
         return tuple(shard_op(op, self.tp.degree)
                      for op in inner.decode_ops(model, batch_size, kv_len))
+
+    def decode_op_source(self):
+        return self._resolved_inner(), functools.partial(
+            shard_op, degree=self.tp.degree)
 
     def weight_bytes(self, model: ModelConfig) -> float:
         return self._resolved_inner().weight_bytes(model)
@@ -683,6 +703,10 @@ class NumaBackend(ExecutionBackend):
                    kv_len: int) -> Tuple[Op, ...]:
         return self._resolved_inner().decode_ops(model, batch_size, kv_len)
 
+    def decode_op_source(self):
+        # The decode graph *is* the inner graph, so is its source.
+        return self._resolved_inner().decode_op_source()
+
     def weight_bytes(self, model: ModelConfig) -> float:
         return self._resolved_inner().weight_bytes(model)
 
@@ -812,6 +836,10 @@ class HybridBackend(ExecutionBackend):
     def decode_ops(self, model: ModelConfig, batch_size: int,
                    kv_len: int) -> Tuple[Op, ...]:
         return self._resolved_inner().decode_ops(model, batch_size, kv_len)
+
+    def decode_op_source(self):
+        # The decode graph *is* the inner graph, so is its source.
+        return self._resolved_inner().decode_op_source()
 
     def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
         return self._resolved_inner().decode_comm_s(model, batch_size)

@@ -25,6 +25,29 @@ _ELEMENTWISE_COMPUTE_EFFICIENCY = 0.35
 _OP_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Op))
 
 
+def _dim_growth(op_lo: Op, op_hi: Op, span: int):
+    """How one op's GEMM dims grow over a decode range of *span* steps.
+
+    Returns ``(analyzable, varying, slope, offset)``: the indices of the
+    (m, n, k) dims that differ between the endpoint ops, and — when at
+    most one does, by an integral per-step amount — its slope and start
+    value. Anything else is not analyzable and is priced densely.
+    """
+    dims_lo = (op_lo.m, op_lo.n, op_lo.k)
+    dims_hi = (op_hi.m, op_hi.n, op_hi.k)
+    varying = [i for i in range(3) if dims_lo[i] != dims_hi[i]]
+    analyzable = len(varying) <= 1
+    slope = offset = 0
+    if varying and analyzable:
+        delta = dims_hi[varying[0]] - dims_lo[varying[0]]
+        if delta % span != 0:
+            analyzable = False  # non-integral dim growth: price densely
+        else:
+            slope = delta // span
+            offset = dims_lo[varying[0]]
+    return analyzable, varying, slope, offset
+
+
 @dataclasses.dataclass(frozen=True)
 class OpTiming:
     """Priced execution of one operator.
@@ -347,34 +370,22 @@ class OperatorExecutor:
         build on, factored out so the two cannot drift apart.
         """
         span = kv_end - 1 - kv_start
-        dims_lo = (op_lo.m, op_lo.n, op_lo.k)
-        dims_hi = (op_hi.m, op_hi.n, op_hi.k)
-        varying = [i for i in range(3) if dims_lo[i] != dims_hi[i]]
-        analyzable = len(varying) <= 1
-        slope = offset = 0
-        if varying and analyzable:
-            delta = dims_hi[varying[0]] - dims_lo[varying[0]]
-            if delta % span != 0:
-                analyzable = False  # non-integral dim growth: price densely
-            else:
-                slope = delta // span
-                offset = dims_lo[varying[0]]
+        analyzable, varying, slope, offset = _dim_growth(op_lo, op_hi, span)
 
         def builder_op_at(kv: int) -> Op:
             return self.backend.decode_ops(model, batch_size, kv)[index]
 
-        # Interior ops are reconstructed from the endpoints when the
-        # reconstruction provably matches the builder (checked against the
-        # builder's own midpoint op); otherwise every probe rebuilds the
-        # full step graph.
-        op_at = builder_op_at
-        if analyzable:
-            dim_field = ("m", "n", "k")[varying[0]] if varying else None
-            synth = self._affine_op_factory(op_lo, op_hi, kv_start, span,
-                                            dim_field, slope, offset)
-            if (synth is not None and op_mid is not None
-                    and synth(kv_mid) == op_mid):
-                op_at = synth
+        # Interior ops are reconstructed without building the step graph
+        # when the reconstruction provably matches the builder (checked
+        # against the builder's own midpoint op); otherwise every probe
+        # rebuilds the full step graph.
+        op_at = None
+        if op_mid is not None:
+            op_at = self._interior_op_factory(
+                self.backend, model, batch_size, index, op_lo, op_hi,
+                kv_start, span, kv_mid, op_mid)
+        if op_at is None:
+            op_at = builder_op_at
 
         memo: Dict[int, OpTiming] = {}
 
@@ -386,6 +397,50 @@ class OperatorExecutor:
             return cached
 
         return analyzable, varying, slope, offset, timing_at, op_at, memo
+
+    def _interior_op_factory(self, backend: ExecutionBackend,
+                             model: ModelConfig, batch_size: int, index: int,
+                             op_lo: Op, op_hi: Op, kv_start: int, span: int,
+                             kv_mid: int, op_mid: Op):
+        """``op_at(kv)`` for op *index* of *backend*'s decode graph, or None.
+
+        Tries the endpoint reconstruction of :meth:`_affine_op_factory`
+        first. An op that is not affine in ``kv_len`` — tensor
+        parallelism floor-divides the attention score GEMM's ``n`` (the
+        KV length) by the degree, a staircase — is instead rebuilt from
+        the backend's :meth:`~repro.engine.backend.ExecutionBackend.
+        decode_op_source`: the same op of the source graph, itself
+        reconstructed (recursively), then put through the backend's
+        per-op rewrite. Whichever way is taken must reproduce the
+        builder's midpoint op field for field, so priced steps are
+        identical to rebuilding the whole graph at every ``kv``.
+        """
+        analyzable, varying, slope, offset = _dim_growth(op_lo, op_hi, span)
+        if analyzable:
+            dim_field = ("m", "n", "k")[varying[0]] if varying else None
+            synth = self._affine_op_factory(op_lo, op_hi, kv_start, span,
+                                            dim_field, slope, offset)
+            if synth is not None and synth(kv_mid) == op_mid:
+                return synth
+        source = backend.decode_op_source()
+        if source is None:
+            return None
+        inner, rewrite = source
+
+        def inner_op(kv: int) -> Op:
+            return inner.decode_ops(model, batch_size, kv)[index]
+
+        inner_at = self._interior_op_factory(
+            inner, model, batch_size, index, inner_op(kv_start),
+            inner_op(kv_start + span), kv_start, span, kv_mid,
+            inner_op(kv_mid))
+        if inner_at is None:
+            return None
+
+        def op_at(kv: int) -> Op:
+            return rewrite(inner_at(kv))
+
+        return op_at if op_at(kv_mid) == op_mid else None
 
     def _tile_cut_bounds(self, varying, slope: int, offset: int,
                          kv_start: int, kv_end: int) -> List[int]:

@@ -32,6 +32,7 @@ from repro.cluster import (
 )
 from repro.engine.backend import (
     BaselineBackend,
+    _cached_decode_ops,
     PrefixCacheBackend,
     QuantizedBackend,
     SpecDecodeBackend,
@@ -175,6 +176,62 @@ class TestParseBackend:
             result = InferenceSimulator(
                 SPR, backend=parse_backend(spec)).run(OPT, request)
             assert result.e2e_s > 0
+
+
+# -- op-wise series pricing for wrapped backends ----------------------------
+
+#: TP specs whose attention shard is a staircase in kv_len, alone and
+#: under every wrapper the grammar composes.
+TP_SPECS = ("tp2", "tp4", "int8-tp2", "numa:snc_flat-tp2",
+            "int8-numa:quad_cache-hybrid:a100-tp2")
+#: Odd-length ranges together covering KV 1..611.
+SERIES_RANGES = ((1, 612), (5, 18), (37, 300), (600, 603))
+
+
+def _llama_executor(spec):
+    sim = InferenceSimulator(SPR, backend=parse_backend(spec))
+    return sim._executor(LLAMA, InferenceRequest(batch_size=1))
+
+
+class TestOpWiseSeries:
+    """TP series rebuild the varying op from the inner graph, bit-exactly."""
+
+    @pytest.mark.parametrize("spec", TP_SPECS)
+    def test_series_match_full_graph_rebuilds(self, spec, monkeypatch):
+        executor = _llama_executor(spec)
+        cases = [(batch, lo, hi) for batch in range(1, 9)
+                 for lo, hi in SERIES_RANGES]
+        fast = [(executor.time_decode_series(LLAMA, *case),
+                 executor.time_decode_range(LLAMA, *case))
+                for case in cases]
+        # Without a decode-op source every interior op of a non-affine
+        # op comes from building the whole step graph at its kv.
+        monkeypatch.setattr(TensorParallelBackend, "decode_op_source",
+                            lambda self: None)
+        rebuilt = [(executor.time_decode_series(LLAMA, *case),
+                    executor.time_decode_range(LLAMA, *case))
+                   for case in cases]
+        assert fast == rebuilt
+
+    @pytest.mark.parametrize("spec", ("int8-tp2", "tp4"))
+    def test_series_builds_constant_graphs(self, spec):
+        executor = _llama_executor(spec)
+        builds = []
+        for kv_end in (300, 1201, 2401):
+            clear_caches()
+            before = _cached_decode_ops.cache_info().misses
+            executor.time_decode_series(LLAMA, 4, 1, kv_end)
+            builds.append(_cached_decode_ops.cache_info().misses - before)
+        # Endpoints and midpoint of the TP graph and of its source.
+        assert builds[0] == builds[1] == builds[2] <= 6
+
+    def test_source_maps_graph_op_for_op(self):
+        backend = parse_backend("int8-numa:quad_cache-hybrid:a100-tp2")
+        source, rewrite = backend.decode_op_source()
+        for kv in (1, 2, 3, 129, 130):
+            assert backend.decode_ops(LLAMA, 3, kv) == tuple(
+                rewrite(op) for op in source.decode_ops(LLAMA, 3, kv))
+        assert BaselineBackend().decode_op_source() is None
 
 
 # -- legacy wrapper vs backend-through-generic-paths ------------------------

@@ -5,18 +5,29 @@ cluster event loop must reproduce ``run_continuous`` timing to the bit,
 because they are the same scheduling code reached through two drivers.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.cluster import (
     Autoscaler,
+    ClusterConfig,
     ClusterSimulator,
+    InvalidArrivalError,
     JoinShortestQueueRouter,
     LeastOutstandingTokensRouter,
     NodeFailure,
     NodeTemplate,
     PhaseAwareRouter,
     ReplicaNode,
+    ReplicaSpec,
     RoundRobinRouter,
+    ShardRouter,
+    run_sharded,
 )
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -29,6 +40,7 @@ from repro.serving.arrivals import (
 from repro.serving.scheduler import BatchingSimulator
 from repro.serving.slo import SLO
 from repro.workloads.generator import WorkloadSpec, chatbot_workload
+from repro.workloads.tenancy import TenantRequest
 
 SPR = get_platform("spr")
 H100 = get_platform("h100")
@@ -350,6 +362,77 @@ class TestClusterValidation:
         simulator = ClusterSimulator([spr_node()], RoundRobinRouter())
         with pytest.raises(ValueError, match="no arrivals"):
             simulator.run([])
+
+
+class TestArrivalValidation:
+    """Out-of-domain arrivals raise a named error as they are pulled."""
+
+    @pytest.mark.parametrize("arrival_s", [-1.0, float("inf"),
+                                           float("-inf")])
+    def test_bad_arrival_time_rejected(self, arrival_s):
+        simulator = ClusterSimulator([spr_node()], RoundRobinRouter())
+        with pytest.raises(InvalidArrivalError, match="arrival_s"):
+            simulator.run([ArrivingRequest(0, arrival_s, 32, 8)])
+
+    @pytest.mark.parametrize("input_len, output_len",
+                             [(0, 8), (32, 0), (-3, 8), (32, -1)])
+    def test_empty_lengths_rejected(self, input_len, output_len):
+        simulator = ClusterSimulator([spr_node()], RoundRobinRouter())
+        arrivals = [ArrivingRequest(0, 0.0, 32, 8),
+                    ArrivingRequest(1, 0.5, input_len, output_len)]
+        with pytest.raises(InvalidArrivalError, match="input_len"):
+            simulator.run(arrivals)
+
+    def test_out_of_order_stream_rejected(self):
+        simulator = ClusterSimulator([spr_node()], RoundRobinRouter())
+        stream = iter([ArrivingRequest(0, 1.0, 32, 8),
+                       ArrivingRequest(1, 0.5, 32, 8)])
+        with pytest.raises(InvalidArrivalError, match="time-ordered"):
+            simulator.run(stream)
+
+    def test_tenant_requests_checked_too(self):
+        simulator = ClusterSimulator([spr_node()], RoundRobinRouter())
+        with pytest.raises(InvalidArrivalError, match="input_len"):
+            simulator.run([TenantRequest(request_id=0, arrival_s=0.0,
+                                         input_len=0, output_len=8,
+                                         user_id=3)])
+
+    def test_nan_arrival_raises_instead_of_hanging(self):
+        # Run in a child under a timeout: a NaN arrival used to hang the
+        # event loop, which would stall the whole test session.
+        script = textwrap.dedent("""
+            from repro.cluster import (ClusterSimulator, InvalidArrivalError,
+                                       ReplicaNode, RoundRobinRouter)
+            from repro.hardware.registry import get_platform
+            from repro.models.registry import get_model
+            from repro.serving.arrivals import ArrivingRequest
+
+            node = ReplicaNode("spr-0", get_platform("spr"),
+                               get_model("llama2-7b"))
+            arrivals = [ArrivingRequest(0, 0.0, 32, 8),
+                        ArrivingRequest(1, float("nan"), 32, 8)]
+            try:
+                ClusterSimulator([node], RoundRobinRouter()).run(
+                    iter(arrivals))
+            except InvalidArrivalError as error:
+                print("raised:", error)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "raised:" in done.stdout and "nan" in done.stdout
+
+    def test_sharded_runs_check_in_their_workers(self):
+        config = ClusterConfig([ReplicaSpec(SPR, LLAMA, count=2)])
+        arrivals = [ArrivingRequest(0, 0.0, 32, 8),
+                    ArrivingRequest(1, 0.2, 32, 8),
+                    ArrivingRequest(2, -0.5, 32, 8)]
+        with pytest.raises(InvalidArrivalError):
+            run_sharded(config, ShardRouter(2), arrivals, workers=1)
+        with pytest.raises(RuntimeError, match="InvalidArrivalError"):
+            run_sharded(config, ShardRouter(2), arrivals, workers=2)
 
 
 class TestArrivalHelpers:

@@ -16,6 +16,8 @@ Pins the tentpole contracts of :mod:`repro.cluster.fluid`:
   goes to zero — and says so.
 * **Grid and scalar solves agree**, and the tiered class→tier fixed
   point conserves flow.
+* **Stations come from one probe replica per spec**, and report exactly
+  what grouping the whole built fleet gave.
 """
 
 import math
@@ -30,6 +32,9 @@ from repro.cluster import (
     ReplicaSpec,
 )
 from repro.cluster import fluid
+from repro.analysis.cost import price_rate
+from repro.engine.backend import parse_backend
+from repro.engine.inference import MemoryCapacityError
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.serving.arrivals import iter_poisson_arrivals
@@ -201,3 +206,100 @@ def test_rejects_empty_and_nonsense_inputs():
         fluid.solve(ClusterConfig(replicas=()), 1.0)
     with pytest.raises(ValueError):
         fluid.solve(config, 1.0, router="no-such-router")
+
+
+# -- station construction ----------------------------------------------------
+
+
+def _fleet_built_stations(config: ClusterConfig):
+    """Stations grouped from every built replica (the reference grouping)."""
+    by_tier = {}
+    for node in config.build_fleet():
+        by_tier.setdefault(node.tier, []).append(node)
+    return [fluid._Station(nodes[0], [price_rate(n.platform.name, n.price_usd)
+                                      for n in nodes])
+            for nodes in by_tier.values()]
+
+
+def _station_configs():
+    spr, icl, a100 = (get_platform(k) for k in ("spr", "icl", "a100"))
+    llama7, llama13 = get_model("llama2-7b"), get_model("llama2-13b")
+    return [
+        # CPU/GPU/hybrid mix with a price override on the hybrid group.
+        ClusterConfig([
+            ReplicaSpec(spr, llama7, count=2),
+            ReplicaSpec(spr, llama7, count=1,
+                        backend=parse_backend("int8-tp2")),
+            ReplicaSpec(a100, llama7, count=1),
+            ReplicaSpec(spr, llama7, count=1,
+                        backend=parse_backend("hybrid:a100"),
+                        price_usd=31_000.0),
+        ]),
+        # Two specs on one tier, not adjacent, with different batch
+        # limits and prices: the first spec's replica is the probe and
+        # prices sum per replica in fleet order.
+        ClusterConfig([
+            ReplicaSpec(spr, llama7, count=2, max_batch=8),
+            ReplicaSpec(icl, llama13, count=2, price_usd=7_777.5),
+            ReplicaSpec(spr, llama7, count=3, max_batch=16,
+                        price_usd=12_345.25),
+        ]),
+    ]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_probe_stations_match_fleet_built_grouping(index):
+    config = _station_configs()[index]
+    reference = _fleet_built_stations(config)
+    mix = (("simple", 0.5), ("standard", 0.3), ("reasoning", 0.2))
+    for rate in (0.5, 3.0, 40.0):
+        assert fluid.solve(config, rate) == \
+            fluid.solve(config, rate, _stations=reference)
+        assert fluid.solve(config, rate, mix=mix) == \
+            fluid.solve(config, rate, mix=mix, _stations=reference)
+    scenarios = [fluid.FluidScenario(config=config, rate_per_s=rate)
+                 for rate in (1.0, 6.0)]
+    assert fluid.solve_grid(scenarios, router="uniform") == [
+        fluid.solve(config, s.rate_per_s, router="uniform",
+                    _stations=reference) for s in scenarios]
+
+
+def test_station_that_does_not_fit_still_raises():
+    config = ClusterConfig([
+        ReplicaSpec(get_platform("spr"), get_model("llama2-7b")),
+        ReplicaSpec(get_platform("a100"), get_model("opt-66b")),
+    ])
+    with pytest.raises(MemoryCapacityError):
+        fluid.solve(config, 1.0)
+
+
+def _full_bisection_quantile(components, q):
+    """`_mixture_quantile` with all 80 bisection passes run."""
+    total = sum(w for w, _ in components)
+    lo = min(c.t0_s for _, c in components)
+    hi = max(c.t0_s for _, c in components) + 1e-9
+    while sum(w * c.ttft_cdf(hi) for w, c in components) / total < q:
+        hi *= 2.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if sum(w * c.ttft_cdf(mid) for w, c in components) / total >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_quantile_bisection_stops_at_its_fixed_point():
+    flow = fluid._resolve_flows(None, None, None, None)[0]
+    components = [
+        (rate, fluid._ClassAtStation(
+            flow=flow, rate_per_s=rate, t0_s=t0, p_wait=p_wait,
+            theta=theta, mean_ttft_s=0.0, tpot_s=0.0, attainment=0.0,
+            overloaded=False))
+        for rate, t0, p_wait, theta in ((2.0, 0.03, 0.4, 9.0),
+                                        (1.0, 0.11, 0.05, 50.0),
+                                        (0.5, 1e-4, 0.9, 0.7),
+                                        (0.2, 0.02, 0.0, math.inf))]
+    for q in (0.05, 0.5, 0.9, 0.99, 0.999):
+        assert fluid._mixture_quantile(components, q) == \
+            _full_bisection_quantile(components, q)
