@@ -31,10 +31,7 @@ process-wide calibration tables those were derived from.
 import bisect
 from typing import Dict, List, Tuple
 
-try:  # Vectorizes the expected-demand convolution; loop fallback below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 from repro.engine.executor import OperatorExecutor
 from repro.models.config import ModelConfig
@@ -273,18 +270,9 @@ class DecodeCostTable:
         # S = Lin + Lout has trapezoidal weights; index the curve at
         # S - 1 (the request's last decode kv).
         lo_sum, hi_sum = lo_in + lo_out, hi_in + hi_out
-        if _np is not None:
-            weights = _np.convolve(_np.full(n_in, 1.0 / n_in),
-                                   _np.full(n_out, 1.0 / n_out))
-            mean_end = float(weights
-                             @ _np.asarray(pt[lo_sum - 1:hi_sum]))
-        else:
-            total = 0.0
-            for s in range(lo_sum, hi_sum + 1):
-                count = min(s - lo_sum, hi_sum - s,
-                            n_in - 1, n_out - 1) + 1
-                total += count * pt[s - 1]
-            mean_end = total / (n_in * n_out)
+        weights = _np.convolve(_np.full(n_in, 1.0 / n_in),
+                               _np.full(n_out, 1.0 / n_out))
+        mean_end = float(weights @ _np.asarray(pt[lo_sum - 1:hi_sum]))
         value = mean_end - mean_start
         self._expected[key] = value
         return value

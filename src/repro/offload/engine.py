@@ -10,10 +10,7 @@ execution-time breakdown of Fig. 18 (compute vs. data loading).
 import dataclasses
 from typing import Dict, List, Tuple
 
-try:  # Vectorizes the closed-form decode path; loop fallback below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 from repro.engine.executor import OperatorExecutor
 from repro.engine.request import InferenceRequest
@@ -293,7 +290,7 @@ class OffloadSimulator:
         if placement.kv_on_gpu:
             ts, _, _ = executor.time_decode_series(model, batch, kv_start,
                                                    kv_start + steps)
-            compute = _np.asarray(ts) if _np is not None else ts
+            compute = _np.asarray(ts)
         else:
             ops = decode_step_ops(model, batch, kv_start, request.dtype)
             attention, other = self._split_ops(ops)
@@ -319,12 +316,7 @@ class OffloadSimulator:
             else:
                 slope = 0.0
             host_bw = self.calibration.host_attention_bw
-            if _np is not None:
-                host = (b0 + slope * _np.arange(steps)) / host_bw
-                compute = other_time + host
-            else:
-                compute = [other_time + (b0 + slope * i) / host_bw
-                           for i in range(steps)]
+            compute = other_time + (b0 + slope * _np.arange(steps)) / host_bw
             step_transfer_raw += self.transfer.time(
                 self._activation_hop_bytes(model, request),
                 layer_transfers=2 * layers)
@@ -332,13 +324,7 @@ class OffloadSimulator:
         step_transfer = amortized_transfer_time(step_transfer_raw, batch,
                                                 self.calibration)
         eta = self.calibration.overlap_efficiency
-        if _np is not None:
-            compute = _np.asarray(compute)
-            exposed = _np.maximum(0.0, step_transfer - eta * compute)
-            decode_time = float((compute + exposed).sum())
-            compute_total = float(compute.sum())
-        else:  # pragma: no cover - numpy ships with the toolchain
-            exposed = [max(0.0, step_transfer - eta * c) for c in compute]
-            decode_time = sum(c + e for c, e in zip(compute, exposed))
-            compute_total = sum(compute)
+        exposed = _np.maximum(0.0, step_transfer - eta * compute)
+        decode_time = float((compute + exposed).sum())
+        compute_total = float(compute.sum())
         return decode_time, steps * step_transfer, compute_total

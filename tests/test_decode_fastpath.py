@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.engine.backend import parse_backend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.request import InferenceRequest
@@ -123,17 +124,24 @@ def test_best_engine_flips_mid_decode_and_fastpath_agrees():
     assert winners == {"cheap", "beefy"}
 
     rng = executor.time_decode_range(model, 1, kv_start, kv_end)
+    series = executor.time_decode_series(model, 1, kv_start, kv_end)
 
     time_s = compute_s = memory_s = 0.0
     op_times = {}
-    for kv in range(kv_start, kv_end):
+    for step, kv in enumerate(range(kv_start, kv_end)):
+        step_legs = [0.0, 0.0, 0.0]
         for timing in executor.time_ops(
                 list(decode_step_ops(model, 1, kv, DType.BF16))):
-            time_s += timing.time_s
-            compute_s += timing.compute_s
-            memory_s += timing.memory_s
+            step_legs[0] += timing.time_s
+            step_legs[1] += timing.compute_s
+            step_legs[2] += timing.memory_s
             op_times[timing.op.name] = (op_times.get(timing.op.name, 0.0)
                                         + timing.time_s)
+        time_s += step_legs[0]
+        compute_s += step_legs[1]
+        memory_s += step_legs[2]
+        for got, want in zip((leg[step] for leg in series), step_legs):
+            assert _rel(got, want) <= TOL, kv
 
     assert _rel(rng.time_s, time_s) <= TOL
     assert _rel(rng.compute_s, compute_s) <= TOL
@@ -150,3 +158,40 @@ def test_time_decode_range_empty_range():
     assert rng.steps == 0
     assert rng.time_s == 0.0
     assert rng.op_times == {}
+    assert executor.time_decode_series(get_model("opt-1.3b"), 1,
+                                       128, 128) == ([], [], [])
+
+
+def test_tensor_parallel_staircase_matches_step_loop():
+    # Under tp2 the attention score GEMM scores kv // 2 keys, a staircase
+    # in kv_len that is priced densely, one step at a time.
+    model = get_model("llama2-7b")
+    sim = InferenceSimulator(get_platform("spr"),
+                             backend=parse_backend("tp2"))
+    executor = sim._executor(model, InferenceRequest(batch_size=2))
+    kv_start, kv_end = 117, 190
+    rng = executor.time_decode_range(model, 2, kv_start, kv_end)
+    series = executor.time_decode_series(model, 2, kv_start, kv_end)
+
+    comm = executor.decode_comm_s(model, 2)
+    assert comm > 0.0
+    time_s = compute_s = memory_s = 0.0
+    keys = []
+    for step, kv in enumerate(range(kv_start, kv_end)):
+        ops = executor.backend.decode_ops(model, 2, kv)
+        keys.append(next(op.n for op in ops if op.name == "attn_qk"))
+        timings = executor.time_ops(list(ops))
+        step_legs = (sum(t.time_s for t in timings) + comm,
+                     sum(t.compute_s for t in timings),
+                     sum(t.memory_s for t in timings))
+        time_s += step_legs[0]
+        compute_s += step_legs[1]
+        memory_s += step_legs[2]
+        for got, want in zip((leg[step] for leg in series), step_legs):
+            assert _rel(got, want) <= TOL, kv
+    # Precondition: the scored key count really is a staircase here.
+    assert {b - a for a, b in zip(keys, keys[1:])} == {0, 1}
+
+    assert _rel(rng.time_s, time_s) <= TOL
+    assert _rel(rng.compute_s, compute_s) <= TOL
+    assert _rel(rng.memory_s, memory_s) <= TOL
